@@ -4,10 +4,9 @@
 Checked invariants (exit status 1 on any violation, with a diagnostic):
 
 BENCH_kernels.json
-  * the incremental-CSR (Exact) sweep kernel keeps a >= 3x speedup over the
-    baseline adjacency-list kernel on the dense 256-spin problem, and the
-    bit-packed/f32 Fast kernel keeps >= 10x there;
-  * at 512 spins (sparse) both rebuilt kernels keep >= 1.5x;
+  * the incremental-CSR (Exact) sweep kernel, SA's only kernel, keeps a
+    >= 8.5x speedup over the baseline adjacency-list kernel on the dense
+    256-spin problem, and >= 1.5x at 512 spins (sparse);
   * the Fast PIMC and SVMC engine reads keep >= 1.1x over their Exact
     counterparts;
   * the all-cores 16-read batch is strictly faster than the serial batch
@@ -157,10 +156,8 @@ def check(ok, message):
 
 # (derived key, floor, description) gates for BENCH_kernels.json.
 KERNEL_RATIO_FLOORS = [
-    ("sa_sweep_speedup_256", 3.0, "dense-256 Exact sweep kernel"),
-    ("sa_sweep_speedup_fast_256", 10.0, "dense-256 Fast sweep kernel"),
+    ("sa_sweep_speedup_256", 8.5, "dense-256 Exact sweep kernel"),
     ("sa_sweep_speedup_512", 1.5, "sparse-512 Exact sweep kernel"),
-    ("sa_sweep_speedup_fast_512", 1.5, "sparse-512 Fast sweep kernel"),
     ("pimc16_fast_speedup_64", 1.1, "PIMC-16 Fast engine read"),
     ("svmc_fast_speedup_64", 1.1, "SVMC Fast engine read"),
 ]
@@ -212,7 +209,6 @@ def check_kernels(path, baseline_path=None):
     print(
         f"{path}: {len(results)} measurements OK "
         f"(dense-256 exact {derived.get('sa_sweep_speedup_256')}x, "
-        f"fast {derived.get('sa_sweep_speedup_fast_256')}x, "
         f"{cores}-core box)"
     )
 
@@ -919,7 +915,6 @@ def _stage_p50(bench, stage):
 # each contributes to the trajectory table (file, column, extractor).
 HISTORY_COLUMNS = [
     ("BENCH_kernels.json", "exact256", lambda b: b["derived"]["sa_sweep_speedup_256"]),
-    ("BENCH_kernels.json", "fast256", lambda b: b["derived"]["sa_sweep_speedup_fast_256"]),
     ("BENCH_kernels.json", "pimc16", lambda b: b["derived"]["pimc16_fast_speedup_64"]),
     ("BENCH_fabric.json", "fab_pts", lambda b: len(b["points"])),
     ("BENCH_fabric_rt.json", "rt_pts", lambda b: len(b["points"])),
@@ -937,7 +932,7 @@ HISTORY_COLUMNS = [
 
 # Floor the newest commit in the walk must hold (the committed state, as
 # opposed to the fresh re-measurement the regular gate checks).
-HISTORY_FAST256_FLOOR = 10.0
+HISTORY_EXACT256_FLOOR = 8.5
 
 
 def _git(*argv):
@@ -958,7 +953,7 @@ def _show_json(sha, path):
 
 def check_history():
     """Prints the perf trajectory of every committed BENCH_*.json and gates
-    the newest commit's dense-256 Fast speedup."""
+    the newest commit's dense-256 Exact speedup."""
     tracked = sorted({file for file, _, _ in HISTORY_COLUMNS})
     log = _git("log", "--format=%H|%h|%cs", "--", *tracked)
     commits = [line.split("|") for line in log.splitlines() if line]
@@ -972,7 +967,6 @@ def check_history():
     print("perf trajectory (committed BENCH_*.json across git history):")
     print(header)
     print("-" * len(header))
-    newest_fast256 = None
     for sha, short, date in commits:
         docs = {file: _show_json(sha, file) for file in tracked}
         row = [f"{short:<10} {date:<11}"]
@@ -989,25 +983,25 @@ def check_history():
             else:
                 row.append(f" {value:>10.1f}")
         print("".join(row))
-        kernels = docs.get("BENCH_kernels.json")
-        if kernels is not None:
-            fast = kernels.get("derived", {}).get("sa_sweep_speedup_fast_256")
-            if fast is not None:
-                newest_fast256 = fast
 
+    # `docs` now holds the newest commit, the committed state: it must carry
+    # the Exact dense-256 ratio and hold the floor.
+    newest = docs["BENCH_kernels.json"] or {}
+    exact256 = newest.get("derived", {}).get("sa_sweep_speedup_256")
     check(
-        newest_fast256 is not None,
-        "--history: no commit carries derived.sa_sweep_speedup_fast_256",
+        exact256 is not None,
+        f"--history: newest commit {commits[-1][1]} lacks "
+        "derived.sa_sweep_speedup_256",
     )
-    if newest_fast256 is not None:
+    if exact256 is not None:
         check(
-            newest_fast256 >= HISTORY_FAST256_FLOOR,
-            f"--history: newest committed dense-256 Fast speedup "
-            f"{newest_fast256}x under the {HISTORY_FAST256_FLOOR}x floor",
+            exact256 >= HISTORY_EXACT256_FLOOR,
+            f"--history: newest committed dense-256 Exact speedup "
+            f"{exact256}x under the {HISTORY_EXACT256_FLOOR}x floor",
         )
         print(
-            f"\nnewest committed dense-256 Fast speedup: {newest_fast256}x "
-            f"(floor: {HISTORY_FAST256_FLOOR}x)"
+            f"\nnewest committed dense-256 Exact speedup: {exact256}x "
+            f"(floor: {HISTORY_EXACT256_FLOOR}x)"
         )
 
 

@@ -64,8 +64,8 @@ impl DWaveProfile {
     /// Classical Monte-Carlo kinetics over-estimates thermal hopping
     /// relative to the hardware's partly-coherent dynamics, so simulator
     /// studies routinely fit an *effective* temperature rather than the
-    /// cryostat reading. 9 mK was chosen by the calibration study recorded
-    /// in `EXPERIMENTS.md` — the coldest-grained setting at which (a)
+    /// cryostat reading. 9 mK was chosen by a calibration sweep over the
+    /// effective temperature as the coldest-grained setting at which (a)
     /// forward annealing retains its hardware-like small success
     /// probability, (b) reverse annealing from harvested low-ΔE_IS seeds
     /// repairs them at 10–20× the forward rate, and (c) the `s_p` band

@@ -74,10 +74,11 @@ pub struct AnnealParams {
     /// Metropolis dynamics, SA-like late-anneal behaviour).
     pub freeze_out: Option<FreezeOut>,
     /// Sweep kernel: the bit-identical [`SweepKernel::Exact`] default, or
-    /// the vectorized [`SweepKernel::Fast`] mode (bit-packed replicas,
-    /// f32 fields, draw-skipping rejects — statistically equivalent, not
-    /// bit-identical). Engines fall back to `Exact` where `Fast` does not
-    /// apply (e.g. more than 64 Trotter slices).
+    /// the vectorized [`SweepKernel::Fast`] mode (PIMC worldlines packed
+    /// into one `u64` per site, f32 fields, draw-skipping rejects —
+    /// statistically equivalent, not bit-identical). Engines fall back to
+    /// `Exact` where `Fast` does not apply (e.g. more than 64 Trotter
+    /// slices). SA has no Fast kernel.
     pub kernel: SweepKernel,
 }
 

@@ -1654,6 +1654,31 @@ mod tests {
         doc = doc.replace("\"realizations\": 4", "\"realizations\": 0");
         let err = ExperimentSpec::parse(&doc).unwrap_err();
         assert!(err.to_string().contains("zero realizations"), "got: {err}");
+
+        // SA has only the Exact kernel: asking for "fast" is an error, not
+        // a silent change of behaviour.
+        let doc = stream_spec().to_json();
+        assert_eq!(doc.matches("\"kernel\": \"exact\"").count(), 1);
+        let doc = doc.replace("\"kernel\": \"exact\"", "\"kernel\": \"fast\"");
+        let err = ExperimentSpec::parse(&doc).unwrap_err();
+        assert!(
+            err.to_string().contains("SA has only the exact kernel"),
+            "got: {err}"
+        );
+
+        let mut spec = fabric_spec();
+        let ExperimentSpec::Fabric(c) = &mut spec else {
+            unreachable!()
+        };
+        let BackendSpec::SaPool(pool) = &mut c.mixes[0].backends[0] else {
+            unreachable!()
+        };
+        pool.sa.kernel = SweepKernel::Fast;
+        let err = ExperimentSpec::parse(&spec.to_json()).unwrap_err();
+        assert!(
+            err.to_string().contains("SA has only the exact kernel"),
+            "got: {err}"
+        );
     }
 
     #[test]

@@ -50,11 +50,8 @@ fn arbitrary_sa(rng: &mut Rng64) -> SaParams {
         sweeps: 1 + rng.next_index(200),
         num_reads: 1 + rng.next_index(32),
         threads: rng.next_index(4),
-        kernel: if rng.next_bool() {
-            SweepKernel::Fast
-        } else {
-            SweepKernel::Exact
-        },
+        // SA has only the Exact kernel; validation rejects anything else.
+        kernel: SweepKernel::Exact,
     }
 }
 
@@ -103,7 +100,11 @@ fn arbitrary_backend(rng: &mut Rng64) -> BackendSpec {
                 sweeps_per_us: 1 + rng.next_index(16),
                 capacity: 1 + rng.next_index(4),
                 max_batch: 1 + rng.next_index(8),
-                kernel: SweepKernel::Exact,
+                kernel: if rng.next_bool() {
+                    SweepKernel::Fast
+                } else {
+                    SweepKernel::Exact
+                },
             };
             if k == 1 {
                 BackendSpec::Pimc(config)

@@ -49,7 +49,7 @@ pub mod sa;
 pub mod solution;
 pub mod tabu;
 
-pub use csr::{BitSpins, Coloring, CsrIsing, LocalFieldState};
+pub use csr::{CsrIsing, LocalFieldState};
 pub use greedy::{greedy_search, GreedyOrder, GreedyVariant};
 pub use ising::Ising;
 pub use model::Qubo;

@@ -1,7 +1,6 @@
 //! Property-based tests for the QUBO/Ising substrate.
 
 use hqw_math::Rng64;
-use hqw_qubo::csr::BitSpins;
 use hqw_qubo::exact::exhaustive_minimum;
 use hqw_qubo::generator::{random_qubo, sparse_random_qubo};
 use hqw_qubo::preprocess::preprocess;
@@ -186,91 +185,6 @@ proptest! {
                 prop_assert_eq!(&a.bits, &b.bits);
                 prop_assert_eq!(a.energy.to_bits(), b.energy.to_bits());
                 prop_assert_eq!(a.occurrences, b.occurrences);
-            }
-        }
-    }
-
-    #[test]
-    fn bit_packed_spins_round_trip(seed in any::<u64>(), n in 0usize..200) {
-        // BitSpins packs 64 spins per word; unpacking must reproduce the
-        // ±1 vector exactly at every length, including word boundaries.
-        let spins = random_spins(n, &mut Rng64::new(seed));
-        let packed = BitSpins::from_spins(&spins);
-        prop_assert_eq!(packed.len(), n);
-        prop_assert_eq!(packed.to_spins(), spins.clone());
-        for (k, &s) in spins.iter().enumerate() {
-            prop_assert_eq!(packed.get(k), s);
-            prop_assert_eq!(packed.sign_f32(k), s as f32);
-            prop_assert_eq!(packed.apply_sign_f32(k, 2.5), 2.5 * s as f32);
-        }
-        // A double flip is the identity; a single flip negates exactly one.
-        let mut flipped = BitSpins::from_spins(&spins);
-        if n > 0 {
-            let k = seed as usize % n;
-            flipped.flip(k);
-            prop_assert_eq!(flipped.get(k), -spins[k]);
-            flipped.flip(k);
-            prop_assert_eq!(flipped.to_spins(), spins);
-        }
-    }
-
-    #[test]
-    fn colored_sweep_order_is_proper_and_complete(
-        seed in any::<u64>(), n in 1usize..48, density in 0.02f64..1.0
-    ) {
-        // The Fast kernel sweeps `coloring().order()`: it must touch every
-        // spin exactly once per pass (the order is a permutation of 0..n),
-        // and each color class must be an independent set of the coupling
-        // graph (no proposal in a class reads a field another proposal in
-        // the same class just wrote).
-        let q = sparse_random_qubo(n, density, &mut Rng64::new(seed));
-        let (ising, _) = q.to_ising();
-        let csr = CsrIsing::from_ising(&ising);
-        let coloring = csr.coloring();
-        let mut seen = vec![false; n];
-        for &k in coloring.order() {
-            prop_assert!(!seen[k as usize], "spin {} visited twice in one pass", k);
-            seen[k as usize] = true;
-        }
-        prop_assert!(seen.iter().all(|&v| v), "order misses spins");
-        for class in coloring.classes() {
-            for &a in class {
-                let (cols, _) = csr.row(a as usize);
-                for &b in cols {
-                    prop_assert!(
-                        !class.contains(&b),
-                        "coupled spins {} and {} share a color", a, b
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn fast_kernel_reads_are_thread_count_invariant(
-        seed in any::<u64>(), n in 2usize..16, reads in 1usize..10
-    ) {
-        // The Fast kernel is only *statistically* equivalent to Exact, but
-        // each read is still a deterministic function of its per-read seed,
-        // so the fan-out must stay bit-identical at any thread count.
-        let q = random_qubo(n, &mut Rng64::new(seed));
-        let run = |threads| {
-            let params = SaParams {
-                num_reads: reads,
-                sweeps: 24,
-                threads,
-                kernel: SweepKernel::Fast,
-                ..SaParams::default()
-            };
-            sample_qubo(&q, &params, &mut Rng64::new(seed ^ 0xC3C3))
-        };
-        let serial = run(1);
-        for threads in [3usize, 0] {
-            let parallel = run(threads);
-            prop_assert_eq!(serial.total_reads(), parallel.total_reads());
-            for (a, b) in serial.iter().zip(parallel.iter()) {
-                prop_assert_eq!(&a.bits, &b.bits);
-                prop_assert_eq!(a.energy.to_bits(), b.energy.to_bits());
             }
         }
     }
