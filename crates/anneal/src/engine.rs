@@ -19,7 +19,7 @@
 use crate::dwave::DWaveProfile;
 use crate::schedule::AnnealSchedule;
 use hqw_math::Rng64;
-use hqw_qubo::{Ising, SweepKernel};
+use hqw_qubo::{CsrIsing, Ising, SweepKernel};
 
 /// Transverse-field-gated kinetics ("freeze-out").
 ///
@@ -74,11 +74,10 @@ pub struct AnnealParams {
     /// Metropolis dynamics, SA-like late-anneal behaviour).
     pub freeze_out: Option<FreezeOut>,
     /// Sweep kernel: the bit-identical [`SweepKernel::Exact`] default, or
-    /// the vectorized [`SweepKernel::Fast`] mode (PIMC worldlines packed
-    /// into one `u64` per site, f32 fields, draw-skipping rejects —
-    /// statistically equivalent, not bit-identical). Engines fall back to
-    /// `Exact` where `Fast` does not apply (e.g. more than 64 Trotter
-    /// slices). SA has no Fast kernel.
+    /// SVMC's vectorized [`SweepKernel::Fast`] mode (f32 fields,
+    /// draw-skipping rejects — statistically equivalent, not
+    /// bit-identical). PIMC and SA have only the Exact kernel and reject
+    /// `Fast`.
     pub kernel: SweepKernel,
 }
 
@@ -141,14 +140,30 @@ pub trait AnnealEngine: Send + Sync {
     /// Engine name for reports.
     fn name(&self) -> &'static str;
 
-    /// Runs one read.
+    /// Runs one read on a problem already flattened to CSR.
     ///
     /// `initial` is required exactly when `schedule.requires_initial_state()`
-    /// (reverse annealing); forward schedules ignore it.
+    /// (reverse annealing); forward schedules ignore it. A caller running
+    /// many reads of one problem builds the CSR once and calls this per read.
     ///
     /// # Panics
     /// Panics when a reverse schedule is given no initial state, or the
     /// initial state length mismatches the problem.
+    fn run_csr(
+        &self,
+        problem: &CsrIsing,
+        profile: &DWaveProfile,
+        schedule: &AnnealSchedule,
+        params: &AnnealParams,
+        initial: Option<&[i8]>,
+        rng: &mut Rng64,
+    ) -> Vec<i8>;
+
+    /// Runs one read: flattens `problem` to CSR and calls
+    /// [`AnnealEngine::run_csr`].
+    ///
+    /// # Panics
+    /// As [`AnnealEngine::run_csr`].
     fn run(
         &self,
         problem: &Ising,
@@ -157,13 +172,16 @@ pub trait AnnealEngine: Send + Sync {
         params: &AnnealParams,
         initial: Option<&[i8]>,
         rng: &mut Rng64,
-    ) -> Vec<i8>;
+    ) -> Vec<i8> {
+        let csr = CsrIsing::from_ising(problem);
+        self.run_csr(&csr, profile, schedule, params, initial, rng)
+    }
 }
 
 /// Validates and resolves the initial state for a schedule.
 ///
 /// # Panics
-/// See [`AnnealEngine::run`].
+/// See [`AnnealEngine::run_csr`].
 pub(crate) fn resolve_initial(
     schedule: &AnnealSchedule,
     n: usize,

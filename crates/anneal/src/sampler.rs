@@ -29,7 +29,7 @@ use crate::svmc::SvmcEngine;
 use hqw_math::parallel::parallel_map_indexed;
 use hqw_math::Rng64;
 use hqw_qubo::solution::{bits_to_spins, spins_to_bits};
-use hqw_qubo::{Ising, Qubo, SampleSet};
+use hqw_qubo::{CsrIsing, Ising, Qubo, SampleSet, SweepKernel};
 
 /// Which simulation engine backs the sampler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,6 +89,9 @@ pub enum ConfigError {
         /// The offending slice count.
         trotter_slices: usize,
     },
+    /// The PIMC engine was asked for [`SweepKernel::Fast`]; it has only the
+    /// Exact kernel.
+    PimcFastKernel,
 }
 
 impl std::fmt::Display for ConfigError {
@@ -99,6 +102,9 @@ impl std::fmt::Display for ConfigError {
                 f,
                 "SamplerConfig: need ≥ 2 Trotter slices, got {trotter_slices}"
             ),
+            ConfigError::PimcFastKernel => {
+                write!(f, "SamplerConfig: PIMC has only the exact kernel")
+            }
         }
     }
 }
@@ -110,7 +116,7 @@ impl SamplerConfig {
     ///
     /// # Errors
     /// Returns the first violated constraint: zero reads or invalid engine
-    /// parameters.
+    /// parameters (including the Fast kernel on the PIMC engine).
     ///
     /// # Panics
     /// Panics on invalid [`AnnealParams`] (those keep their own panicking
@@ -123,6 +129,9 @@ impl SamplerConfig {
         if let EngineKind::Pimc { trotter_slices } = self.engine {
             if trotter_slices < 2 {
                 return Err(ConfigError::TooFewTrotterSlices { trotter_slices });
+            }
+            if self.params.kernel != SweepKernel::Exact {
+                return Err(ConfigError::PimcFastKernel);
             }
         }
         Ok(())
@@ -347,19 +356,31 @@ impl QuantumSampler {
             .map(|_| master.next_u64())
             .collect();
 
+        // One engine per submission, and without ICE one CSR: every read
+        // then anneals the same programmed problem. With ICE each read
+        // perturbs the coefficients from its own stream, before any engine
+        // draw, and flattens its own noisy copy.
+        let engine: Box<dyn AnnealEngine> = match self.config.engine {
+            EngineKind::Pimc { trotter_slices } => Box::new(PimcEngine::new(trotter_slices)),
+            EngineKind::Svmc => Box::new(SvmcEngine),
+        };
+        let shared = self
+            .config
+            .ice
+            .is_none()
+            .then(|| CsrIsing::from_ising(&programmed));
         parallel_map_indexed(&read_seeds, self.config.threads, |_, &read_seed| {
             let mut rng = Rng64::new(read_seed);
-            let engine: Box<dyn AnnealEngine> = match self.config.engine {
-                EngineKind::Pimc { trotter_slices } => Box::new(PimcEngine::new(trotter_slices)),
-                EngineKind::Svmc => Box::new(SvmcEngine),
+            let noisy;
+            let problem = match &shared {
+                Some(csr) => csr,
+                None => {
+                    noisy = CsrIsing::from_ising(&self.config.ice.perturb(&programmed, &mut rng));
+                    &noisy
+                }
             };
-            let problem = if self.config.ice.is_none() {
-                programmed.clone()
-            } else {
-                self.config.ice.perturb(&programmed, &mut rng)
-            };
-            engine.run(
-                &problem,
+            engine.run_csr(
+                problem,
                 &self.profile,
                 schedule,
                 &self.config.params,
@@ -506,6 +527,20 @@ mod tests {
             .unwrap_err()
             .to_string()
             .contains("Trotter"));
+
+        let pimc_fast = SamplerConfig {
+            params: AnnealParams {
+                kernel: SweepKernel::Fast,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        assert_eq!(pimc_fast.validate(), Err(ConfigError::PimcFastKernel));
+        let svmc_fast = SamplerConfig {
+            engine: EngineKind::Svmc,
+            ..pimc_fast
+        };
+        assert_eq!(svmc_fast.validate(), Ok(()));
     }
 
     #[test]

@@ -24,7 +24,7 @@ use crate::engine::{resolve_initial, AnnealEngine, AnnealParams};
 use crate::schedule::AnnealSchedule;
 use hqw_math::fastmath::{exp_fast, sin_poly_half_pi};
 use hqw_math::Rng64;
-use hqw_qubo::{CsrIsing, Ising, SweepKernel};
+use hqw_qubo::{CsrIsing, SweepKernel};
 
 /// Rebuild the cached mean fields from scratch every this many sweeps: the
 /// incremental updates accumulate float rounding (cos values are not exactly
@@ -49,9 +49,9 @@ impl AnnealEngine for SvmcEngine {
         "SVMC"
     }
 
-    fn run(
+    fn run_csr(
         &self,
-        problem: &Ising,
+        problem: &CsrIsing,
         profile: &DWaveProfile,
         schedule: &AnnealSchedule,
         params: &AnnealParams,
@@ -59,15 +59,14 @@ impl AnnealEngine for SvmcEngine {
         rng: &mut Rng64,
     ) -> Vec<i8> {
         params.validate();
-        let csr = CsrIsing::from_ising(problem);
-        let n = csr.num_vars();
+        let n = problem.num_vars();
         if n == 0 {
             return Vec::new();
         }
         let init = resolve_initial(schedule, n, initial);
         match params.kernel {
-            SweepKernel::Exact => run_exact(&csr, profile, schedule, params, init, rng),
-            SweepKernel::Fast => run_fast(&csr, profile, schedule, params, init, rng),
+            SweepKernel::Exact => run_exact(problem, profile, schedule, params, init, rng),
+            SweepKernel::Fast => run_fast(problem, profile, schedule, params, init, rng),
         }
     }
 }
@@ -255,6 +254,7 @@ mod tests {
     use super::*;
     use crate::engine::FreezeOut;
     use hqw_qubo::solution::bits_to_spins;
+    use hqw_qubo::Ising;
 
     fn ferromagnet(n: usize) -> Ising {
         let mut ising = Ising::new(n);

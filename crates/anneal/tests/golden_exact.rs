@@ -163,3 +163,71 @@ fn sampler_end_to_end_golden() {
         "Exact sampler pipeline drifted from the pre-change golden"
     );
 }
+
+#[test]
+fn sampler_ice_reverse_golden() {
+    // ICE on: every read perturbs the programmed coefficients from its own
+    // RNG stream before annealing, so this pins the per-read draw order
+    // (perturbation first, then the engine) that the ICE-off goldens miss.
+    use hqw_anneal::sampler::{EngineKind, QuantumSampler, SamplerConfig};
+    use hqw_anneal::IceModel;
+    let q = random_qubo(16, &mut Rng64::new(55));
+    let sampler = QuantumSampler::new(
+        DWaveProfile::calibrated(),
+        SamplerConfig {
+            num_reads: 6,
+            engine: EngineKind::Pimc { trotter_slices: 8 },
+            ice: IceModel::new(0.05, 0.05),
+            threads: 1,
+            ..Default::default()
+        },
+    );
+    let init: Vec<u8> = init16().iter().map(|&s| (s > 0) as u8).collect();
+    let res = sampler.sample_qubo(
+        &q,
+        &AnnealSchedule::reverse(0.69, 1.0).unwrap(),
+        Some(&init),
+        37,
+    );
+    let samples: Vec<(Vec<u8>, u64, u64)> = res
+        .samples
+        .iter()
+        .map(|s| (s.bits.clone(), s.energy.to_bits(), s.occurrences))
+        .collect();
+    assert_eq!(
+        samples,
+        vec![
+            (
+                vec![0, 0, 0, 0, 0, 0, 1, 1, 0, 1, 1, 1, 0, 1, 0, 1],
+                0xc01ac95b6c3a98c2,
+                1,
+            ),
+            (
+                vec![0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 1, 1, 0, 1, 1, 1],
+                0xc016d5f036268c9c,
+                1,
+            ),
+            (
+                vec![1, 0, 0, 1, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0, 1],
+                0xc011fa144e4f4e1a,
+                1,
+            ),
+            (
+                vec![0, 0, 0, 1, 1, 0, 1, 1, 1, 1, 1, 0, 1, 0, 1, 1],
+                0xc00bebc31d4b5c43,
+                1,
+            ),
+            (
+                vec![1, 0, 0, 1, 0, 1, 1, 1, 0, 1, 1, 1, 0, 1, 0, 1],
+                0xc00940b8e5cd6d75,
+                1,
+            ),
+            (
+                vec![1, 0, 0, 1, 0, 0, 1, 1, 0, 1, 1, 0, 1, 1, 0, 0],
+                0xbff8a98d5527a327,
+                1,
+            ),
+        ],
+        "Exact sampler pipeline with ICE noise drifted from the pre-change golden"
+    );
+}

@@ -19,13 +19,15 @@
 //!   contiguous-run AXPY neighbor updates. Bit-identical to the historical
 //!   outputs.
 //!
-//! The PIMC/SVMC engine reads are measured in `Exact` and `Fast` kernel
-//! modes. Output: a human-readable table on stdout plus
-//! `BENCH_kernels.json` at the workspace root (override with the
-//! `BENCH_OUT` environment variable), including a `machine` stanza so the
-//! regression gate (`ci/check_bench.py`) can judge ratios in context — on a
-//! single-core box the serial-vs-parallel comparison is pure noise, and the
-//! gate knows it. Run with:
+//! The PIMC-16 engine read is measured against the frozen pre-rework read
+//! (`hqw_bench::reference`: Δ and `exp` before every draw, per-read CSR
+//! build); the SVMC read in its `Exact` and `Fast` kernel modes. Output: a
+//! human-readable table on stdout plus `BENCH_kernels.json` at the
+//! workspace root (override with the `BENCH_OUT` environment variable),
+//! including a `machine` stanza so the regression gate
+//! (`ci/check_bench.py`) can judge ratios in context — on a single-core box
+//! the serial-vs-parallel comparison is pure noise, and the gate knows it.
+//! Run with:
 //!
 //! ```text
 //! cargo bench -p hqw-bench
@@ -34,6 +36,7 @@
 use hqw_anneal::engine::AnnealParams;
 use hqw_anneal::sampler::{EngineKind, QuantumSampler, SamplerConfig};
 use hqw_anneal::{AnnealSchedule, DWaveProfile};
+use hqw_bench::reference::pimc_sample_qubo;
 use hqw_math::Rng64;
 use hqw_qubo::csr::CsrIsing;
 use hqw_qubo::generator::sparse_random_qubo;
@@ -259,8 +262,9 @@ fn bench_parallel_reads(out: &mut Vec<Measurement>, derived: &mut Vec<(String, f
     out.extend(ms);
 }
 
-/// Annealer-engine read costs on a medium instance, `Exact` vs `Fast`
-/// kernel modes interleaved per engine.
+/// Annealer-engine read costs on a medium instance: PIMC-16's Exact kernel
+/// against the frozen pre-rework read ([`hqw_bench::reference`]), and
+/// SVMC's Exact against its Fast kernel, each pair interleaved.
 fn bench_engine_reads(out: &mut Vec<Measurement>, derived: &mut Vec<(String, f64)>) {
     let n = 64;
     let mut rng = Rng64::new(14);
@@ -282,38 +286,57 @@ fn bench_engine_reads(out: &mut Vec<Measurement>, derived: &mut Vec<(String, f64
             },
         )
     };
-    for (label, engine) in [
-        ("pimc16", EngineKind::Pimc { trotter_slices: 16 }),
-        ("svmc", EngineKind::Svmc),
-    ] {
-        let exact_sampler = sampler_with(engine, SweepKernel::Exact);
-        let fast_sampler = sampler_with(engine, SweepKernel::Fast);
-        let (mut s0, mut s1) = (0u64, 0u64);
-        let mut exact = || {
-            s0 += 1;
-            black_box(exact_sampler.sample_qubo(&q, &schedule, Some(&init), s0));
-        };
-        let mut fast = || {
-            s1 += 1;
-            black_box(fast_sampler.sample_qubo(&q, &schedule, Some(&init), s1));
-        };
-        let ms = bench_interleaved(
-            &[
-                &format!("anneal_read/ra_{label}/{n}"),
-                &format!("anneal_read/ra_{label}_fast/{n}"),
-            ]
-            .iter()
-            .map(|s| s.as_str())
-            .collect::<Vec<_>>(),
-            n,
-            5,
-            &mut [&mut exact, &mut fast],
-        );
-        let speedup = ms[0].ns_per_iter / ms[1].ns_per_iter;
-        println!("  -> {label} fast-kernel speedup: {speedup:.2}x");
-        derived.push((format!("{label}_fast_speedup_{n}"), speedup));
+    // Interleaves two arms and records `key` = the second arm's ns/iter over
+    // the first's (> 1: the first is faster).
+    let mut pair = |key: &str, names: [&str; 2], fns: &mut [&mut dyn FnMut(); 2]| {
+        let ms = bench_interleaved(&names, n, 5, fns);
+        let speedup = ms[1].ns_per_iter / ms[0].ns_per_iter;
+        println!("  -> {key}: {speedup:.2}x");
+        derived.push((format!("{key}_{n}"), speedup));
         out.extend(ms);
-    }
+    };
+
+    // PIMC-16: the Exact kernel vs the frozen reference over the same
+    // problem, seeds and read count.
+    let pimc = sampler_with(EngineKind::Pimc { trotter_slices: 16 }, SweepKernel::Exact);
+    let (mut s0, mut s1) = (0u64, 0u64);
+    let mut exact = || {
+        s0 += 1;
+        black_box(pimc.sample_qubo(&q, &schedule, Some(&init), s0));
+    };
+    let mut reference = || {
+        s1 += 1;
+        black_box(pimc_sample_qubo(&pimc, &q, &schedule, Some(&init), s1));
+    };
+    pair(
+        "pimc16_exact_speedup",
+        [
+            &format!("anneal_read/ra_pimc16/{n}"),
+            &format!("anneal_read/ra_pimc16_reference/{n}"),
+        ],
+        &mut [&mut exact, &mut reference],
+    );
+
+    // SVMC: Exact vs Fast.
+    let svmc_exact = sampler_with(EngineKind::Svmc, SweepKernel::Exact);
+    let svmc_fast = sampler_with(EngineKind::Svmc, SweepKernel::Fast);
+    let (mut s0, mut s1) = (0u64, 0u64);
+    let mut fast = || {
+        s0 += 1;
+        black_box(svmc_fast.sample_qubo(&q, &schedule, Some(&init), s0));
+    };
+    let mut exact = || {
+        s1 += 1;
+        black_box(svmc_exact.sample_qubo(&q, &schedule, Some(&init), s1));
+    };
+    pair(
+        "svmc_fast_speedup",
+        [
+            &format!("anneal_read/ra_svmc_fast/{n}"),
+            &format!("anneal_read/ra_svmc/{n}"),
+        ],
+        &mut [&mut fast, &mut exact],
+    );
 }
 
 /// Minimal JSON emitter (no external crates available offline).

@@ -19,11 +19,14 @@
 //! Shared CLI conventions live in [`cli`]; experiment wiring lives in
 //! [`runs`] (grid experiments) and [`legacy`] (canned figures); the
 //! distributed shard/checkpoint/merge runners live in [`distributed`].
+//! [`mod@reference`] freezes the pre-rework PIMC read as a test oracle and
+//! kernel-bench reference.
 
 #![warn(missing_docs)]
 
 pub mod cli;
 pub mod distributed;
 pub mod legacy;
+pub mod reference;
 pub mod registry;
 pub mod runs;

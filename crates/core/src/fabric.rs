@@ -513,7 +513,9 @@ pub struct AnnealerConfig {
     pub capacity: usize,
     /// Most jobs coalesced per call.
     pub max_batch: usize,
-    /// Monte-Carlo sweep kernel (bit-identical `Exact` or vectorized `Fast`).
+    /// Monte-Carlo sweep kernel: bit-identical `Exact`, or vectorized
+    /// `Fast` on SVMC only (PIMC has only `Exact`; [`BackendSpec::validate`]
+    /// rejects `Fast` there).
     pub kernel: SweepKernel,
 }
 
@@ -981,7 +983,14 @@ impl BackendSpec {
             BackendSpec::SaPool(c) => c.validate(),
             BackendSpec::Pt(c) => c.validate(),
             BackendSpec::Tabu(c) => c.validate(),
-            BackendSpec::Pimc(c) | BackendSpec::Svmc(c) => c.validate(),
+            BackendSpec::Pimc(c) => {
+                c.validate()?;
+                if c.kernel != SweepKernel::Exact {
+                    return Err("PimcBackend: PIMC has only the exact kernel".to_string());
+                }
+                Ok(())
+            }
+            BackendSpec::Svmc(c) => c.validate(),
             BackendSpec::MockQpu(c) => c.validate(),
         }
     }
@@ -3361,6 +3370,13 @@ mod tests {
         annealer.capacity = 0;
         let err = BackendSpec::Pimc(annealer).validate().unwrap_err();
         assert!(err.contains("capacity must be > 0"), "{err}");
+
+        // PIMC has only the Exact kernel; SVMC keeps its Fast one.
+        let mut annealer = quick_annealer();
+        annealer.kernel = SweepKernel::Fast;
+        let err = BackendSpec::Pimc(annealer).validate().unwrap_err();
+        assert!(err.contains("PIMC has only the exact kernel"), "{err}");
+        assert_eq!(BackendSpec::Svmc(annealer).validate(), Ok(()));
 
         let BackendSpec::MockQpu(mut qpu) = quick_qpu(4) else {
             unreachable!()

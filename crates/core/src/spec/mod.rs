@@ -1679,6 +1679,29 @@ mod tests {
             err.to_string().contains("SA has only the exact kernel"),
             "got: {err}"
         );
+
+        // Neither has PIMC; SVMC keeps its Fast kernel.
+        let mut spec = fabric_spec();
+        let ExperimentSpec::Fabric(c) = &mut spec else {
+            unreachable!()
+        };
+        let BackendSpec::Svmc(svmc) = &mut c.mixes[1].backends[1] else {
+            unreachable!()
+        };
+        svmc.kernel = SweepKernel::Fast;
+        assert!(ExperimentSpec::parse(&spec.to_json()).is_ok());
+        let ExperimentSpec::Fabric(c) = &mut spec else {
+            unreachable!()
+        };
+        let BackendSpec::Pimc(pimc) = &mut c.mixes[1].backends[0] else {
+            unreachable!()
+        };
+        pimc.kernel = SweepKernel::Fast;
+        let err = ExperimentSpec::parse(&spec.to_json()).unwrap_err();
+        assert!(
+            err.to_string().contains("PIMC has only the exact kernel"),
+            "got: {err}"
+        );
     }
 
     #[test]

@@ -100,7 +100,8 @@ fn arbitrary_backend(rng: &mut Rng64) -> BackendSpec {
                 sweeps_per_us: 1 + rng.next_index(16),
                 capacity: 1 + rng.next_index(4),
                 max_batch: 1 + rng.next_index(8),
-                kernel: if rng.next_bool() {
+                // PIMC has only the Exact kernel; validation rejects Fast.
+                kernel: if k == 2 && rng.next_bool() {
                     SweepKernel::Fast
                 } else {
                     SweepKernel::Exact

@@ -49,7 +49,7 @@ pub struct CsrIsing {
     /// trailing `nnz` sentinel; run `r` covers entries
     /// `run_ofs[r]..run_ofs[r+1]`.
     run_ofs: Vec<u32>,
-    /// Lazily-built f32 weight mirror (PIMC/SVMC Fast-kernel field updates).
+    /// Lazily-built f32 weight mirror (SVMC Fast-kernel field updates).
     weight_f32: OnceLock<Vec<f32>>,
 }
 
@@ -228,8 +228,8 @@ impl CsrIsing {
         }
     }
 
-    /// f32 mirror of the coupling weights, built on first use (PIMC/SVMC
-    /// Fast kernels).
+    /// f32 mirror of the coupling weights, built on first use (the SVMC
+    /// Fast kernel).
     #[inline]
     pub fn weights_f32(&self) -> &[f32] {
         self.weight_f32

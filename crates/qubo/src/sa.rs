@@ -26,16 +26,16 @@ use hqw_math::Rng64;
 ///   proposal. Its outputs are **bit-identical** across releases, thread
 ///   counts and storage-layout changes (regression-pinned by golden tests).
 ///   SA runs only this kernel.
-/// * [`SweepKernel::Fast`] — the vectorized PIMC/SVMC engine kernels in
-///   `hqw-anneal` (f32 fields, draw-skipping rejects). They promise
+/// * [`SweepKernel::Fast`] — the vectorized SVMC engine kernel in
+///   `hqw-anneal` (f32 fields, draw-skipping rejects). It promises
 ///   **statistical equivalence only** (same energy distribution, not the
-///   same bits). [`SaParams::validate`] rejects it.
+///   same bits). [`SaParams::validate`] and the PIMC engine reject it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SweepKernel {
     /// Bit-identical deterministic kernel (default).
     #[default]
     Exact,
-    /// Vectorized statistical-equivalence kernel (annealer engines only).
+    /// Vectorized statistical-equivalence kernel (SVMC only).
     Fast,
 }
 
